@@ -27,7 +27,7 @@ CRASH_FLAGS ?=
 # worker counts) and byte-compares.
 ROUTE_FLAGS ?= -mesh 50 -faults 25,50,100 -trials 3 -route-messages 200
 
-.PHONY: all build test race cover fuzz stress-check crash-check route-check bench bench-json bench-check bench-baseline docs-check lint staticcheck mfplint govulncheck tidy-check fmt clean
+.PHONY: all build test race cover fuzz stress-check crash-check route-check e2ebench-check bench bench-json bench-check bench-baseline docs-check lint staticcheck mfplint govulncheck tidy-check fmt clean
 
 all: lint build test
 
@@ -90,6 +90,13 @@ route-check:
 	$(GO) run ./cmd/mfpsim -route $(ROUTE_FLAGS) -workers 7 > route-sweep-b.txt
 	cmp route-sweep-a.txt route-sweep-b.txt
 	@cat route-sweep-a.txt
+
+# The end-to-end benchmark (e2ebench/) is its own Go module, so the root
+# `go build ./...` never compiles it: vet and test it on its own, so a
+# change to the shard, engine or wire API that breaks the benchmark fails
+# CI instead of the next benchmark run.
+e2ebench-check:
+	cd e2ebench && $(GO) vet ./... && $(GO) test ./...
 
 # One iteration of every Go benchmark, no unit tests — the CI smoke run.
 bench:

@@ -7,17 +7,19 @@ import (
 	"testing"
 
 	"repro/internal/grid"
+	"repro/internal/grid3"
 	"repro/internal/shard"
 )
 
 // FuzzHandleEvents throws arbitrary bodies at the events endpoint of a
-// live handler: every request must settle as 200 or 400 (the mesh exists
+// live handler, on a 2-D and a 3-D mesh alike (one generic handler serves
+// both): every request must settle as 200, 400 or 413 (the meshes exist
 // and nothing administrative races), the service must never panic, and a
 // mesh that accepted a batch must still satisfy the snapshot invariants.
 func FuzzHandleEvents(f *testing.F) {
 	// Seeded corpus mirroring the decoder corpus plus mesh-boundary cases:
-	// truncated JSON, out-of-bounds coordinates for the 8×8 test mesh, and
-	// duplicate add/clear churn.
+	// truncated JSON, out-of-bounds coordinates for the 8-wide test
+	// meshes, duplicate add/clear churn, and events of each dimension.
 	for _, seed := range []string{
 		`[]`,
 		`[{"op":"add","x":3,"y":4}]`,
@@ -32,6 +34,8 @@ func FuzzHandleEvents(f *testing.F) {
 		`{"not":"an array"}`,
 		`null`,
 		"",
+		`[{"op":"add","x":3,"y":4,"z":5},{"op":"add","x":4,"y":4,"z":5},{"op":"clear","x":3,"y":4,"z":5}]`,
+		`[{"op":"add","x":1,"y":1,"z":8}]`,
 	} {
 		f.Add([]byte(seed))
 	}
@@ -41,27 +45,37 @@ func FuzzHandleEvents(f *testing.F) {
 		// archived reproducer alone replays the failure, with no hidden
 		// state accumulated from earlier inputs.
 		mgr := shard.NewManager(shard.Config{})
-		if _, err := mgr.Create("m", grid.New(8, 8)); err != nil {
-			t.Fatal(err)
-		}
 		defer mgr.Close()
-		srv := newServer(mgr)
-		req := httptest.NewRequest(http.MethodPost, "/meshes/m/events", bytes.NewReader(data))
-		rec := httptest.NewRecorder()
-		srv.ServeHTTP(rec, req)
-		if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {
-			t.Fatalf("body %q: status %d, want 200, 400 or 413", data, rec.Code)
-		}
-		sh, err := mgr.Get("m")
+		flat, err := mgr.Create("m", grid.New(8, 8))
 		if err != nil {
 			t.Fatal(err)
 		}
-		v, err := sh.Read()
+		cube, err := mgr.Create3("c", grid3.New(8, 8, 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv := newServer(mgr)
+		for _, mesh := range []string{"m", "c"} {
+			req := httptest.NewRequest(http.MethodPost, "/v1/meshes/"+mesh+"/events", bytes.NewReader(data))
+			rec := httptest.NewRecorder()
+			srv.ServeHTTP(rec, req)
+			if rec.Code != http.StatusOK && rec.Code != http.StatusBadRequest && rec.Code != http.StatusRequestEntityTooLarge {
+				t.Fatalf("mesh %s, body %q: status %d, want 200, 400 or 413", mesh, data, rec.Code)
+			}
+		}
+		v, err := flat.Read()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := v.Snapshot.Validate(); err != nil {
-			t.Fatalf("snapshot invariants broken after body %q: %v", data, err)
+			t.Fatalf("2-D snapshot invariants broken after body %q: %v", data, err)
+		}
+		v3, err := cube.Read()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := v3.Snapshot.Validate(); err != nil {
+			t.Fatalf("3-D snapshot invariants broken after body %q: %v", data, err)
 		}
 	})
 }

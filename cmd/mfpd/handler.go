@@ -25,28 +25,22 @@ func newHandler(mgr *shard.Manager, logger *slog.Logger) http.Handler {
 // small fixed vocabulary ("/v1/meshes/{name}/events", never the raw path),
 // so the route label on the HTTP metrics stays bounded no matter how many
 // meshes exist or what garbage paths clients probe; the mesh name goes to
-// the request log only. Versioned traffic and the deprecated unversioned
-// alias get distinct patterns (the "/v1" prefix), so the migration off the
-// alias is observable per route before the alias is removed.
+// the request log only.
 func routeInfo(r *http.Request) obs.RouteInfo {
-	path, prefix := r.URL.Path, ""
-	if rest, ok := strings.CutPrefix(path, "/v1"); ok && (rest == "" || rest[0] == '/') {
-		path, prefix = rest, "/v1"
-	}
-	switch {
-	case prefix == "" && path == "/healthz":
+	switch path := r.URL.Path; {
+	case path == "/healthz":
 		return obs.RouteInfo{Route: "/healthz"}
-	case prefix == "" && path == "/metrics":
+	case path == "/metrics":
 		return obs.RouteInfo{Route: "/metrics"}
-	case path == "/meshes" || path == "/meshes/":
-		return obs.RouteInfo{Route: prefix + "/meshes"}
-	case strings.HasPrefix(path, "/meshes/"):
-		name, sub, _ := strings.Cut(strings.TrimPrefix(path, "/meshes/"), "/")
+	case path == "/v1/meshes" || path == "/v1/meshes/":
+		return obs.RouteInfo{Route: "/v1/meshes"}
+	case strings.HasPrefix(path, "/v1/meshes/"):
+		name, sub, _ := strings.Cut(strings.TrimPrefix(path, "/v1/meshes/"), "/")
 		switch sub {
 		case "":
-			return obs.RouteInfo{Route: prefix + "/meshes/{name}", Mesh: name}
+			return obs.RouteInfo{Route: "/v1/meshes/{name}", Mesh: name}
 		case "events", "status", "polygons", "route", "stats":
-			return obs.RouteInfo{Route: prefix + "/meshes/{name}/" + sub, Mesh: name}
+			return obs.RouteInfo{Route: "/v1/meshes/{name}/" + sub, Mesh: name}
 		}
 		return obs.RouteInfo{Route: "other", Mesh: name}
 	}

@@ -17,10 +17,10 @@
 // the full reference):
 //
 //	GET    /v1/meshes                   list every mesh with stats
-//	POST   /v1/meshes                   {"name":"a","width":64,"height":64} -> 201
-//	                                    Add "depth" for a 3-D mesh: its events
-//	                                    then carry x, y and z, and the polygons
-//	                                    endpoint serves minimum polytopes.
+//	POST   /v1/meshes                   {"name":"a","width":64,"height":64[,"depth":8]} -> 201
+//	                                    A positive depth makes a 3-D mesh: its
+//	                                    events then carry x, y and z, and the
+//	                                    polygons endpoint serves minimum polytopes.
 //	DELETE /v1/meshes/a                 drain and delete mesh "a"
 //	POST   /v1/meshes/a/events          body: [{"op":"add","x":3,"y":4},...]
 //	                                    (3-D: [{"op":"add","x":3,"y":4,"z":5},...])
@@ -28,18 +28,17 @@
 //	                                    adds and clears of healthy nodes are
 //	                                    counted as ignored, not errors.
 //	GET    /v1/meshes/a/status?x=3&y=4  -> {"x":3,"y":4,"class":"safe","version":17}
-//	                                    (3-D meshes also require z)
+//	                                    (3-D meshes also require z; 2-D ones
+//	                                    reject it)
 //	GET    /v1/meshes/a/polygons        every component's minimum faulty polygon
 //	                                    (polytope on a 3-D mesh)
+//	POST   /v1/meshes/a/route           {"src":{"x":0,"y":0},"dst":{"x":9,"y":9}}
+//	                                    or {"pairs":[...]}; 2-D meshes only
+//	                                    (404 on a 3-D mesh)
 //	GET    /v1/meshes/a/stats           shard stats + construction metrics
 //	GET    /metrics                     process metrics, Prometheus text format
 //	                                    (docs/METRICS.md documents every family)
 //	GET    /healthz                     -> 200 ok
-//
-// The pre-versioning unversioned paths (/meshes...) keep answering with
-// identical bodies for one release, marked by a "Deprecation: true"
-// response header. Routing (POST /v1/meshes/a/route) is 2-D-only and
-// answers 404 on a 3-D mesh.
 //
 // With -data-dir set, every acknowledged event batch is appended to a
 // per-mesh write-ahead log and fsynced before the reply, logs are

@@ -19,7 +19,7 @@ import (
 
 func postRoute(t *testing.T, ts *httptest.Server, mesh, body string) (*http.Response, []byte) {
 	t.Helper()
-	resp := postJSON(t, ts.URL+"/meshes/"+mesh+"/route", []byte(body))
+	resp := postJSON(t, ts.URL+"/v1/meshes/"+mesh+"/route", []byte(body))
 	defer resp.Body.Close()
 	b, err := io.ReadAll(resp.Body)
 	if err != nil {
@@ -55,7 +55,7 @@ func TestRouteSingle(t *testing.T) {
 	if rr.AbnormalHops == 0 {
 		t.Fatal("route across the cluster must detour")
 	}
-	if first, last := rr.Path[0], rr.Path[len(rr.Path)-1]; first != (xy{0, 5}) || last != (xy{15, 5}) {
+	if first, last := rr.Path[0], rr.Path[len(rr.Path)-1]; first != grid.XY(0, 5) || last != grid.XY(15, 5) {
 		t.Fatalf("path endpoints %v..%v", first, last)
 	}
 	if rr.CacheHit {
@@ -111,7 +111,7 @@ func TestRouteBatchAndStats(t *testing.T) {
 
 	// Another batch at the same version hits the cache; stats show it.
 	postRoute(t, ts, "m", `{"pairs":[{"src":{"x":0,"y":0},"dst":{"x":1,"y":1}}]}`)
-	sresp, err := http.Get(ts.URL + "/meshes/m/stats")
+	sresp, err := http.Get(ts.URL + "/v1/meshes/m/stats")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestRouteConcurrentBatches(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp := postJSON(t, ts.URL+"/meshes/m/route", []byte(body.String()))
+			resp := postJSON(t, ts.URL+"/v1/meshes/m/route", []byte(body.String()))
 			defer resp.Body.Close()
 			var br batchRouteReply
 			if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
@@ -284,7 +284,7 @@ func TestRouteBadRequests(t *testing.T) {
 	})
 
 	t.Run("wrong method", func(t *testing.T) {
-		resp, err := http.Get(ts.URL + "/meshes/m/route")
+		resp, err := http.Get(ts.URL + "/v1/meshes/m/route")
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -10,10 +10,9 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/engine"
 	"repro/internal/grid"
 	"repro/internal/grid3"
-	"repro/internal/nodeset"
+	"repro/internal/kernel"
 	"repro/internal/obs"
 	"repro/internal/routing"
 	"repro/internal/shard"
@@ -54,24 +53,24 @@ const (
 // Routes:
 //
 //	GET    /healthz
-//	GET    /metrics                       Prometheus text metrics (obs.Default)
-//	GET    /v1/meshes                     list every mesh with stats
-//	POST   /v1/meshes                     create a mesh {"name","width","height"}
-//	DELETE /v1/meshes/{name}              drain and delete a mesh
-//	POST   /v1/meshes/{name}/events       apply a JSON array of fault events
-//	GET    /v1/meshes/{name}/status?x=&y= per-node status
-//	GET    /v1/meshes/{name}/polygons     every component's minimum polygon
-//	POST   /v1/meshes/{name}/route        route messages around the polygons
-//	GET    /v1/meshes/{name}/stats        shard + construction metrics
+//	GET    /metrics                         Prometheus text metrics (obs.Default)
+//	GET    /v1/meshes                       list every mesh with stats
+//	POST   /v1/meshes                       create a mesh {"name","width","height"[,"depth"]}
+//	DELETE /v1/meshes/{name}                drain and delete a mesh
+//	POST   /v1/meshes/{name}/events         apply a JSON array of fault events
+//	GET    /v1/meshes/{name}/status?x=&y=   per-node status (&z= on a 3-D mesh)
+//	GET    /v1/meshes/{name}/polygons       every component's minimum polygon (polytope in 3-D)
+//	POST   /v1/meshes/{name}/route          route messages around the polygons (2-D only)
+//	GET    /v1/meshes/{name}/stats          shard + construction metrics
 //
-// The pre-versioning paths (/meshes...) answer identically for one
-// release, marked with a "Deprecation: true" response header; new clients
-// must use /v1.
+// Events, status, polygons and stats are each one handler, generic over
+// the mesh's coordinate and topology types; route is the only 2-D-only
+// handler and answers 404 on a 3-D mesh.
 //
 // Route queries are served from a routing planner memoized per shard
 // version (see shard.Shard.Planner): concurrent queries at one fault state
 // share the preprocessing, and the next fault event invalidates it. The
-// per-shard cache hit rate is part of /meshes/{name}/stats.
+// per-shard cache hit rate is part of /v1/meshes/{name}/stats.
 type server struct {
 	mgr *shard.Manager
 	// routeSem is the server-wide budget of batch-routing workers (one
@@ -114,37 +113,17 @@ func (s *server) releaseRouteWorkers(n int) {
 }
 
 func (s *server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if rest, ok := strings.CutPrefix(r.URL.Path, "/v1"); ok && (rest == "" || rest[0] == '/') {
-		s.serveAPI(w, r, rest)
-		return
-	}
-	switch {
-	case r.URL.Path == "/healthz":
-		s.handleHealthz(w, r)
-	case r.URL.Path == "/metrics":
+	switch path := r.URL.Path; {
+	case path == "/healthz":
+		writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
+	case path == "/metrics":
 		obs.Default.Handler().ServeHTTP(w, r)
-	case r.URL.Path == "/meshes" || strings.HasPrefix(r.URL.Path, "/meshes/"):
-		// Pre-versioning alias: same handlers, same bodies, flagged as
-		// deprecated so clients migrate to /v1 before the alias is removed.
-		w.Header().Set("Deprecation", "true")
-		w.Header().Set("Link", `</v1/meshes>; rel="successor-version"`)
-		s.serveAPI(w, r, r.URL.Path)
-	default:
-		writeError(w, http.StatusNotFound, codeNotFound, "no route %s (see /v1/meshes)", r.URL.Path)
-	}
-}
-
-// serveAPI dispatches the versioned API surface. path is the request path
-// with any /v1 prefix already removed, so /v1 traffic and the deprecated
-// unversioned alias share one code path and cannot drift apart.
-func (s *server) serveAPI(w http.ResponseWriter, r *http.Request, path string) {
-	switch {
-	case path == "/meshes" || path == "/meshes/":
+	case path == "/v1/meshes" || path == "/v1/meshes/":
 		s.handleMeshes(w, r)
-	case strings.HasPrefix(path, "/meshes/"):
-		s.handleMesh(w, r, strings.TrimPrefix(path, "/meshes/"))
+	case strings.HasPrefix(path, "/v1/meshes/"):
+		s.handleMesh(w, r, strings.TrimPrefix(path, "/v1/meshes/"))
 	default:
-		writeError(w, http.StatusNotFound, codeNotFound, "no route %s (see /v1/meshes)", r.URL.Path)
+		writeError(w, http.StatusNotFound, codeNotFound, "no route %s (see /v1/meshes)", path)
 	}
 }
 
@@ -220,10 +199,6 @@ func writeShardError(w http.ResponseWriter, err error) {
 	}
 }
 
-func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
-}
-
 type createRequest struct {
 	Name   string `json:"name"`
 	Width  int    `json:"width"`
@@ -272,32 +247,27 @@ func (s *server) handleMeshes(w http.ResponseWriter, r *http.Request) {
 				"mesh of %dx%dx%d exceeds %d nodes", req.Width, req.Height, req.Depth, maxMeshNodes)
 			return
 		}
-		var stats shard.Stats
+		var t shard.Tenant
+		var err error
 		if req.Depth > 0 {
-			sh, err := s.mgr.Create3(req.Name, grid3.New(req.Width, req.Height, req.Depth))
-			if err != nil {
-				writeShardError(w, err)
-				return
-			}
-			stats = sh.Stats()
+			t, err = s.mgr.Create3(req.Name, grid3.New(req.Width, req.Height, req.Depth))
 		} else {
-			sh, err := s.mgr.Create(req.Name, grid.New(req.Width, req.Height))
-			if err != nil {
-				writeShardError(w, err)
-				return
-			}
-			stats = sh.Stats()
+			t, err = s.mgr.Create(req.Name, grid.New(req.Width, req.Height))
 		}
-		writeJSON(w, http.StatusCreated, stats)
+		if err != nil {
+			writeShardError(w, err)
+			return
+		}
+		writeJSON(w, http.StatusCreated, t.Stats())
 	default:
 		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "GET lists meshes, POST creates one")
 	}
 }
 
 // handleMesh routes /v1/meshes/{name}[/...]: DELETE on the bare name, and
-// the events/status/polygons/stats sub-resources, dispatching on the mesh's
-// dimensionality (route exists only on 2-D meshes). rest is the path after
-// the meshes/ segment, version prefix already stripped.
+// the sub-resources. Route is the one 2-D-only handler; every other
+// sub-resource is served by serveMesh for either instantiation of the
+// generic shard. rest is the path after the /v1/meshes/ segment.
 func (s *server) handleMesh(w http.ResponseWriter, r *http.Request, rest string) {
 	name, sub, _ := strings.Cut(rest, "/")
 	t, err := s.mgr.Lookup(name)
@@ -318,38 +288,34 @@ func (s *server) handleMesh(w http.ResponseWriter, r *http.Request, rest string)
 		return
 	}
 	switch sh := t.(type) {
-	case *shard.Shard:
-		switch sub {
-		case "events":
-			s.handleEvents(w, r, sh)
-		case "status":
-			s.handleStatus(w, r, sh)
-		case "polygons":
-			s.handlePolygons(w, r, sh)
-		case "route":
+	case *shard.Shard[grid.Coord, grid.Mesh]:
+		if sub == "route" {
 			s.handleRoute(w, r, sh)
-		case "stats":
-			s.handleStats(w, r, sh)
-		default:
-			writeError(w, http.StatusNotFound, codeNotFound, "no route %s under /v1/meshes/%s", sub, name)
+			return
 		}
-	case *shard.Shard3:
-		switch sub {
-		case "events":
-			s.handleEvents3(w, r, sh)
-		case "status":
-			s.handleStatus3(w, r, sh)
-		case "polygons":
-			s.handlePolygons3(w, r, sh)
-		case "route":
-			writeError(w, http.StatusNotFound, codeNotFound, "routing is 2-D only; mesh %s is 3-D", name)
-		case "stats":
-			s.handleStats3(w, r, sh)
-		default:
-			writeError(w, http.StatusNotFound, codeNotFound, "no route %s under /v1/meshes/%s", sub, name)
-		}
+		serveMesh(w, r, sh, sub)
+	case *shard.Shard[grid3.Coord, grid3.Mesh]:
+		serveMesh(w, r, sh, sub)
 	default:
 		writeError(w, http.StatusInternalServerError, codeInternal, "unknown mesh kind for %s", name)
+	}
+}
+
+// serveMesh answers the dimension-generic sub-resources of one mesh.
+func serveMesh[C any, T kernel.Topology[C]](w http.ResponseWriter, r *http.Request, sh *shard.Shard[C, T], sub string) {
+	switch sub {
+	case "events":
+		handleEvents(w, r, sh)
+	case "status":
+		handleStatus(w, r, sh)
+	case "polygons":
+		handlePolygons(w, r, sh)
+	case "stats":
+		handleStats(w, sh)
+	case "route":
+		writeError(w, http.StatusNotFound, codeNotFound, "routing is 2-D only; mesh %s is %d-D", sh.Name(), sh.Mesh().Axes())
+	default:
+		writeError(w, http.StatusNotFound, codeNotFound, "no route %s under /v1/meshes/%s", sub, sh.Name())
 	}
 }
 
@@ -365,12 +331,12 @@ type eventsReply struct {
 	Components int    `json:"components"`
 }
 
-func (s *server) handleEvents(w http.ResponseWriter, r *http.Request, sh *shard.Shard) {
+func handleEvents[C any, T kernel.Topology[C]](w http.ResponseWriter, r *http.Request, sh *shard.Shard[C, T]) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, "POST a JSON array of events")
 		return
 	}
-	events, err := engine.DecodeEvents(http.MaxBytesReader(w, r.Body, maxEventBody))
+	events, err := kernel.DecodeEvents[C](http.MaxBytesReader(w, r.Body, maxEventBody))
 	if err != nil {
 		writeDecodeError(w, err)
 		return
@@ -389,23 +355,44 @@ func (s *server) handleEvents(w http.ResponseWriter, r *http.Request, sh *shard.
 	})
 }
 
+// statusReply echoes the queried node; Z is present on 3-D meshes only.
 type statusReply struct {
 	X       int    `json:"x"`
 	Y       int    `json:"y"`
+	Z       *int   `json:"z,omitempty"`
 	Class   string `json:"class"`
 	Version uint64 `json:"version"`
 }
 
-func (s *server) handleStatus(w http.ResponseWriter, r *http.Request, sh *shard.Shard) {
-	x, errX := strconv.Atoi(r.URL.Query().Get("x"))
-	y, errY := strconv.Atoi(r.URL.Query().Get("y"))
-	if errX != nil || errY != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "need integer x and y query parameters")
-		return
+// axisNames are the status query parameters, one per mesh axis.
+var axisNames = [...]string{"x", "y", "z"}
+
+// handleStatus reads one integer query parameter per mesh axis and
+// rejects the parameters of axes the mesh does not have, as the event
+// codec rejects a z on a 2-D mesh.
+func handleStatus[C any, T kernel.Topology[C]](w http.ResponseWriter, r *http.Request, sh *shard.Shard[C, T]) {
+	mesh := sh.Mesh()
+	q := r.URL.Query()
+	var buf [len(axisNames)]int
+	pos := buf[:mesh.Axes()]
+	for a, name := range axisNames {
+		if a >= len(pos) {
+			if q.Has(name) {
+				writeError(w, http.StatusBadRequest, codeBadRequest, "%d-D mesh takes no %s query parameter", len(pos), name)
+				return
+			}
+			continue
+		}
+		v, err := strconv.Atoi(q.Get(name))
+		if err != nil {
+			writeError(w, http.StatusBadRequest, codeBadRequest, "need integer %s query parameters", strings.Join(axisNames[:len(pos)], ", "))
+			return
+		}
+		pos[a] = v
 	}
-	node := grid.XY(x, y)
-	if !sh.Mesh().Contains(node) {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "%v outside %v", node, sh.Mesh())
+	node := mesh.AtAxes(pos)
+	if !mesh.Contains(node) {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "%v outside %v", node, mesh)
 		return
 	}
 	v, err := sh.Read()
@@ -413,77 +400,65 @@ func (s *server) handleStatus(w http.ResponseWriter, r *http.Request, sh *shard.
 		writeShardError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, statusReply{
-		X: x, Y: y,
-		Class:   v.Snapshot.Class(node).String(),
-		Version: v.Version,
-	})
+	reply := statusReply{X: pos[0], Y: pos[1], Class: v.Snapshot.Class(node).String(), Version: v.Version}
+	if len(pos) > 2 {
+		reply.Z = &pos[2]
+	}
+	writeJSON(w, http.StatusOK, reply)
 }
 
-type xy struct {
-	X int `json:"x"`
-	Y int `json:"y"`
-}
-
-func coords(set *nodeset.Set) []xy {
-	out := make([]xy, 0, set.Len())
-	set.Each(func(c grid.Coord) { out = append(out, xy{c.X, c.Y}) })
-	return out
-}
-
-type polygonReply struct {
+type polygonReply[C any] struct {
 	// Faults are the component's faulty nodes, Polygon its minimum
-	// faulty polygon (faults included), both in row-major order.
-	Faults  []xy `json:"faults"`
-	Polygon []xy `json:"polygon"`
+	// faulty polygon (polytope on a 3-D mesh; faults included), both in
+	// index order.
+	Faults  []C `json:"faults"`
+	Polygon []C `json:"polygon"`
 }
 
-type polygonsReply struct {
-	Version  uint64         `json:"version"`
-	Polygons []polygonReply `json:"polygons"`
+type polygonsReply[C any] struct {
+	Version  uint64            `json:"version"`
+	Polygons []polygonReply[C] `json:"polygons"`
 }
 
-func (s *server) handlePolygons(w http.ResponseWriter, r *http.Request, sh *shard.Shard) {
+func handlePolygons[C any, T kernel.Topology[C]](w http.ResponseWriter, r *http.Request, sh *shard.Shard[C, T]) {
 	v, err := sh.Read()
 	if err != nil {
 		writeShardError(w, err)
 		return
 	}
 	snap := v.Snapshot
-	reply := polygonsReply{Version: v.Version, Polygons: make([]polygonReply, len(snap.Polygons()))}
+	reply := polygonsReply[C]{Version: v.Version, Polygons: make([]polygonReply[C], len(snap.Polygons()))}
 	for i, poly := range snap.Polygons() {
-		reply.Polygons[i] = polygonReply{
-			Faults:  coords(snap.Components()[i]),
-			Polygon: coords(poly),
-		}
+		reply.Polygons[i] = polygonReply[C]{Faults: snap.Components()[i].Coords(), Polygon: poly.Coords()}
 	}
 	writeJSON(w, http.StatusOK, reply)
 }
 
 // routeRequest is the /route body: either one pair (src + dst) or a batch
-// (pairs), never both.
+// (pairs), never both. Endpoints decode through grid.Coord's strict codec,
+// so a missing y or a stray z is a bad request, as in the events body.
 type routeRequest struct {
-	Src   *xy         `json:"src,omitempty"`
-	Dst   *xy         `json:"dst,omitempty"`
+	Src   *grid.Coord `json:"src,omitempty"`
+	Dst   *grid.Coord `json:"dst,omitempty"`
 	Pairs []routePair `json:"pairs,omitempty"`
 }
 
 type routePair struct {
-	Src xy `json:"src"`
-	Dst xy `json:"dst"`
+	Src grid.Coord `json:"src"`
+	Dst grid.Coord `json:"dst"`
 }
 
 // routeReply answers a single-pair query with the full trajectory.
 type routeReply struct {
 	// Version is the shard version the route was computed against;
 	// CacheHit reports whether the query reused a memoized planner.
-	Version      uint64 `json:"version"`
-	CacheHit     bool   `json:"cache_hit"`
-	Src          xy     `json:"src"`
-	Dst          xy     `json:"dst"`
-	Length       int    `json:"length"`
-	AbnormalHops int    `json:"abnormal_hops"`
-	Path         []xy   `json:"path"`
+	Version      uint64       `json:"version"`
+	CacheHit     bool         `json:"cache_hit"`
+	Src          grid.Coord   `json:"src"`
+	Dst          grid.Coord   `json:"dst"`
+	Length       int          `json:"length"`
+	AbnormalHops int          `json:"abnormal_hops"`
+	Path         []grid.Coord `json:"path"`
 }
 
 // batchRouteReply answers a batched query with per-pair outcomes (hop
@@ -517,7 +492,7 @@ func routeStatus(err error) (int, string) {
 	}
 }
 
-func (s *server) handleRoute(w http.ResponseWriter, r *http.Request, sh *shard.Shard) {
+func (s *server) handleRoute(w http.ResponseWriter, r *http.Request, sh *shard.Shard[grid.Coord, grid.Mesh]) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, codeMethodNotAllowed, `POST {"src":{"x":..,"y":..},"dst":{..}} or {"pairs":[..]}`)
 		return
@@ -553,29 +528,24 @@ func (s *server) handleRoute(w http.ResponseWriter, r *http.Request, sh *shard.S
 	}
 
 	if single {
-		src, dst := grid.XY(req.Src.X, req.Src.Y), grid.XY(req.Dst.X, req.Dst.Y)
-		route, err := planner.Route(src, dst)
+		route, err := planner.Route(*req.Src, *req.Dst)
 		if err != nil {
 			status, code := routeStatus(err)
 			writeError(w, status, code, "%v", err)
 			return
 		}
-		path := make([]xy, 0, route.Length()+1)
-		for _, c := range route.Path() {
-			path = append(path, xy{c.X, c.Y})
-		}
 		writeJSON(w, http.StatusOK, routeReply{
 			Version: v.Version, CacheHit: hit,
 			Src: *req.Src, Dst: *req.Dst,
 			Length: route.Length(), AbnormalHops: route.AbnormalHops,
-			Path: path,
+			Path: route.Path(),
 		})
 		return
 	}
 
 	queries := make([]routing.Query, len(req.Pairs))
 	for i, p := range req.Pairs {
-		queries[i] = routing.Query{Src: grid.XY(p.Src.X, p.Src.Y), Dst: grid.XY(p.Dst.X, p.Dst.Y)}
+		queries[i] = routing.Query{Src: p.Src, Dst: p.Dst}
 	}
 	workers := s.acquireRouteWorkers(min(len(queries), cap(s.routeSem)))
 	results := planner.RouteAll(queries, workers)
@@ -603,7 +573,7 @@ type statsReply struct {
 	MeanPolygonSize   *float64 `json:"mean_polygon_size,omitempty"`
 }
 
-func (s *server) handleStats(w http.ResponseWriter, r *http.Request, sh *shard.Shard) {
+func handleStats[C any, T kernel.Topology[C]](w http.ResponseWriter, sh *shard.Shard[C, T]) {
 	reply := statsReply{Stats: sh.Stats()}
 	if v, ok := sh.Peek(); ok {
 		snap := v.Snapshot

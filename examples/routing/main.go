@@ -18,7 +18,7 @@ import (
 func main() {
 	m := grid.New(8, 8)
 	polygon := nodeset.FromCoords(m, grid.XY(2, 4), grid.XY(3, 4), grid.XY(4, 3))
-	net := routing.NewNetwork(m, polygon)
+	net := routing.NewPlannerForBlocked(m, polygon)
 
 	src, dst := grid.XY(1, 3), grid.XY(6, 4)
 	route, err := net.Route(src, dst)

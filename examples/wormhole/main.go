@@ -25,7 +25,7 @@ func main() {
 	inner := fault.NewInjector(grid.New(18, 18), fault.Clustered, 5).Inject(20)
 	faults := nodeset.New(m)
 	inner.Each(func(c grid.Coord) { faults.Add(grid.XY(c.X+3, c.Y+3)) })
-	net := routing.NewNetwork(m, block.Build(m, faults).Unsafe)
+	net := routing.NewPlannerForBlocked(m, block.Build(m, faults).Unsafe)
 
 	sim := wormhole.New(wormhole.Config{FlitLen: 4})
 	rng := rand.New(rand.NewSource(1))

@@ -53,7 +53,7 @@ func TestPipelineEndToEnd(t *testing.T) {
 
 			// Route a message batch over the MFP regions and deliver it
 			// flit by flit.
-			net := routing.NewNetwork(m, c.Disabled(core.MFP))
+			net := routing.NewPlannerForBlocked(m, c.Disabled(core.MFP))
 			sim := wormhole.New(wormhole.Config{FlitLen: 3})
 			rng := rand.New(rand.NewSource(seed))
 			injected := 0
@@ -96,7 +96,7 @@ func TestPipelineRectangularBlocksAlwaysDrain(t *testing.T) {
 	m := grid.New(28, 28)
 	for seed := int64(0); seed < 6; seed++ {
 		faults := interiorFaults(m, fault.Clustered, 30, seed)
-		net := routing.NewNetwork(m, block.Build(m, faults).Unsafe)
+		net := routing.NewPlannerForBlocked(m, block.Build(m, faults).Unsafe)
 		sim := wormhole.New(wormhole.Config{FlitLen: 4})
 		rng := rand.New(rand.NewSource(seed + 100))
 		injected := 0

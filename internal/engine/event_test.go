@@ -40,9 +40,6 @@ func TestEventJSONRejectsBadInput(t *testing.T) {
 	if _, err := (Event{Op: Op(7)}).MarshalJSON(); err == nil {
 		t.Fatal("invalid op marshalled")
 	}
-	if _, err := ParseOp("nope"); err == nil {
-		t.Fatal("ParseOp accepted junk")
-	}
 	if Op(9).String() == "" || (Event{}).String() == "" {
 		t.Fatal("String stringers returned nothing")
 	}

@@ -63,12 +63,6 @@ func New(m grid3.Mesh) (*Engine, error) {
 	return kernel.NewEngine(m, newCuboids)
 }
 
-// ValidateEvents checks that every event lies inside the mesh and carries
-// a known op, returning the first violation. See kernel.ValidateEvents.
-func ValidateEvents(m grid3.Mesh, events []Event) error {
-	return kernel.ValidateEvents(m, events)
-}
-
 // Replay applies events to a plain fault set and returns how many changed
 // it. See kernel.Replay.
 func Replay(faults *nodeset3.Set, events ...Event) int {
@@ -89,15 +83,7 @@ func SnapshotOf(m grid3.Mesh, faults *nodeset3.Set) (*Snapshot, error) {
 	if err != nil {
 		return nil, err
 	}
-	events := make([]Event, 0, faults.Len())
-	faults.Each(func(c grid3.Coord) {
-		events = append(events, Event{Op: Add, Node: c})
-	})
-	_, snap, err := e.Apply(events)
-	if err != nil {
-		return nil, err
-	}
-	return snap, nil
+	return kernel.Seed(e, faults)
 }
 
 // cuboids is the kernel.BlockModel of the 3-D engine: the union of

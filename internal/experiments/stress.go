@@ -170,7 +170,7 @@ func (r *StressReport) String() string {
 // replays independently of the shard layer.
 type stressShard struct {
 	name    string
-	shard   *shard.Shard
+	shard   *shard.Shard[grid.Coord, grid.Mesh]
 	chunks  [][]engine.Event
 	faults  *nodeset.Set // expected fault set (driver-side replay)
 	applied uint64       // expected shard version

@@ -13,9 +13,12 @@ import (
 	"fmt"
 )
 
-// Coord is the address of a node in a 2-D mesh or torus.
+// Coord is the address of a node in a 2-D mesh or torus. It encodes as
+// {"x":…,"y":…}, the wire shape of every coordinate mfpd serves and of
+// the fault-event stream, which inlines it (see kernel.Event).
 type Coord struct {
-	X, Y int
+	X int `json:"x"`
+	Y int `json:"y"`
 }
 
 // XY is shorthand for Coord{X: x, Y: y}; fault scenarios read better as
@@ -24,12 +27,6 @@ func XY(x, y int) Coord { return Coord{X: x, Y: y} }
 
 // String renders the coordinate as "(x,y)", matching the paper's notation.
 func (c Coord) String() string { return fmt.Sprintf("(%d,%d)", c.X, c.Y) }
-
-// MarshalJSON encodes the coordinate as {"x":…,"y":…}, the wire shape the
-// fault-event stream inlines (see kernel.Event).
-func (c Coord) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf(`{"x":%d,"y":%d}`, c.X, c.Y)), nil
-}
 
 // UnmarshalJSON decodes {"x":…,"y":…}, requiring both fields so a corrupt
 // event is rejected instead of silently decoding as the origin, and

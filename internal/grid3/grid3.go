@@ -10,9 +10,13 @@ import (
 	"fmt"
 )
 
-// Coord is the address of a node in a 3-D mesh.
+// Coord is the address of a node in a 3-D mesh. It encodes as
+// {"x":…,"y":…,"z":…}, the wire shape the 3-D fault-event stream inlines
+// (see kernel.Event).
 type Coord struct {
-	X, Y, Z int
+	X int `json:"x"`
+	Y int `json:"y"`
+	Z int `json:"z"`
 }
 
 // XYZ is shorthand for Coord{X: x, Y: y, Z: z}.
@@ -20,12 +24,6 @@ func XYZ(x, y, z int) Coord { return Coord{X: x, Y: y, Z: z} }
 
 // String renders the coordinate as "(x,y,z)".
 func (c Coord) String() string { return fmt.Sprintf("(%d,%d,%d)", c.X, c.Y, c.Z) }
-
-// MarshalJSON encodes the coordinate as {"x":…,"y":…,"z":…}, the wire
-// shape the 3-D fault-event stream inlines (see kernel.Event).
-func (c Coord) MarshalJSON() ([]byte, error) {
-	return []byte(fmt.Sprintf(`{"x":%d,"y":%d,"z":%d}`, c.X, c.Y, c.Z)), nil
-}
 
 // UnmarshalJSON decodes {"x":…,"y":…,"z":…}, requiring all three fields so
 // a 2-D event posted to a 3-D mesh is rejected instead of silently decoding

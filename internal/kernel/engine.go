@@ -228,6 +228,19 @@ func Replay[C any, T Topology[C]](faults *Set[C, T], events ...Event[C]) int {
 	return changed
 }
 
+// Seed feeds every node of faults to e as one batch of arrival events and
+// returns the snapshot it publishes. Because an engine's state is a pure
+// function of its fault set, seeding a fresh engine reproduces exactly the
+// constructions of any engine that reached the same fault set by another
+// event history: it is how a static fault set becomes a snapshot, how a
+// shard rebuilds after eviction, and how recovery loads a replayed WAL.
+func Seed[C any, T Topology[C]](e *Engine[C, T], faults *Set[C, T]) (*Snapshot[C, T], error) {
+	events := make([]Event[C], 0, faults.Len())
+	faults.Each(func(c C) { events = append(events, Event[C]{Op: Add, Node: c}) })
+	_, snap, err := e.Apply(events)
+	return snap, err
+}
+
 // Apply applies a batch of events atomically — concurrent readers observe
 // either the snapshot before the whole batch or after it, never a prefix —
 // and returns how many events changed the state (duplicate adds and clears

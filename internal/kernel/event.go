@@ -11,8 +11,8 @@ import (
 // with the coordinate's fields inlined into the same object: {"op":"add",
 // "x":3,"y":4} in 2-D, {"op":"add","x":3,"y":4,"z":5} in 3-D. The
 // coordinate half of the codec is owned by the coordinate type itself
-// (grid.Coord and grid3.Coord implement json.Marshaler/Unmarshaler with
-// exactly those lowercase fields, rejecting events that miss one), so each
+// (grid.Coord and grid3.Coord encode through their lowercase field tags
+// and implement json.Unmarshaler, rejecting events that miss a field), so each
 // topology's events are validated per-topology while the event framing
 // lives once, here.
 

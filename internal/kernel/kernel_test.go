@@ -148,6 +148,9 @@ func TestEventWireFormat(t *testing.T) {
 	if _, err := json.Marshal(kernel.Event[grid.Coord]{Op: kernel.Op(7)}); err == nil {
 		t.Fatal("marshal of an invalid op should fail")
 	}
+	if _, err := kernel.ParseOp("nope"); err == nil {
+		t.Fatal("ParseOp accepted junk")
+	}
 }
 
 // The generic engine drives a 3-D topology end to end: merge on add,

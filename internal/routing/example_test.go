@@ -11,10 +11,10 @@ import (
 
 // The paper's Figure 2: a WE-bound message from (1,3) to (6,4) detours
 // counterclockwise around the faulty polygon {(2,4),(3,4),(4,3)}.
-func ExampleNetwork_Route() {
+func ExampleNewPlannerForBlocked() {
 	m := grid.New(8, 8)
 	polygon := nodeset.FromCoords(m, grid.XY(2, 4), grid.XY(3, 4), grid.XY(4, 3))
-	net := routing.NewNetwork(m, polygon)
+	net := routing.NewPlannerForBlocked(m, polygon)
 
 	route, err := net.Route(grid.XY(1, 3), grid.XY(6, 4))
 	if err != nil {

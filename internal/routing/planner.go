@@ -19,12 +19,12 @@ import (
 // version, serves any number of concurrent Route/RouteAll calls — the
 // planner is read-only after construction and safe for concurrent use.
 //
-// Compared with the legacy NewNetwork path, a Planner built from an engine
-// snapshot reuses the snapshot's cached polygons instead of re-flooding
-// the disabled union (polygon.Regions8), replaces the per-region
-// map[grid.Coord]int ring index with one dense per-mesh slice, and keeps a
-// bounding box per region so pathBlocked can reject non-intersecting
-// regions without scanning the whole e-cube path.
+// A planner built from an engine snapshot (NewPlanner) reuses the
+// snapshot's cached polygons instead of re-flooding the disabled union
+// (polygon.Regions8), as NewPlannerForBlocked must. Either way the ring
+// index is one dense per-mesh slice, and a bounding box per region lets
+// pathBlocked reject non-intersecting regions without scanning the whole
+// e-cube path.
 type Planner struct {
 	mesh    grid.Mesh
 	blocked *nodeset.Set // union of the regions; shared, read-only
@@ -51,16 +51,18 @@ type Planner struct {
 // snapshot's cached per-component polygons and disabled union instead of
 // recomputing them from the fault set. Polygons of distinct components may
 // touch or overlap once closed; such polygons are merged into one detour
-// region, exactly as the legacy path's re-flood of the disabled union
-// would, so routes are identical to NewNetwork(mesh, snap.Disabled()).
+// region, exactly as a re-flood of the disabled union would, so routes
+// are identical to NewPlannerForBlocked(mesh, snap.Disabled()).
 func NewPlanner(snap *engine.Snapshot) *Planner {
 	return newPlanner(snap.Mesh(), snap.Disabled(), mergeTouching(snap.Mesh(), snap.Polygons()))
 }
 
 // NewPlannerForBlocked prepares routing around an arbitrary blocked set;
 // its 8-connected regions form the faulty polygons the router detours
-// around. It is the planner behind the legacy NewNetwork API. The blocked
-// set is cloned, so later caller mutations do not corrupt the planner.
+// around. The caller is responsible for blocked regions being orthogonal
+// convex (use the mfp or dmfp packages); convexity is what bounds detours
+// and guarantees deadlock freedom. The blocked set is cloned, so later
+// caller mutations do not corrupt the planner.
 func NewPlannerForBlocked(m grid.Mesh, blocked *nodeset.Set) *Planner {
 	if m.Torus {
 		panic("routing: extended e-cube is defined for non-torus meshes")

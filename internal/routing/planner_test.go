@@ -36,8 +36,8 @@ func sameRoute(a, b *Route) bool {
 // TestPlannerMatchesLegacyOnSnapshots is the differential gate of the
 // snapshot construction path: a planner built from an engine snapshot
 // (reusing the cached per-component polygons, merging the ones that touch)
-// must route byte-identically to the legacy NewNetwork path, which
-// re-floods the disabled union from scratch.
+// must route byte-identically to NewPlannerForBlocked over its disabled
+// union, which re-floods the disabled union from scratch.
 func TestPlannerMatchesLegacyOnSnapshots(t *testing.T) {
 	m := grid.New(24, 24)
 	for seed := int64(0); seed < 8; seed++ {
@@ -48,7 +48,7 @@ func TestPlannerMatchesLegacyOnSnapshots(t *testing.T) {
 			})
 			snap := snapshotFor(t, m, faults)
 			p := NewPlanner(snap)
-			legacy := NewNetwork(m, snap.Disabled())
+			legacy := NewPlannerForBlocked(m, snap.Disabled())
 
 			if got, want := len(p.Regions()), len(legacy.Regions()); got != want {
 				t.Fatalf("seed %d %v: planner has %d regions, legacy %d", seed, model, got, want)
@@ -103,7 +103,7 @@ func TestPlannerMergesTouchingPolygons(t *testing.T) {
 	if len(p.Regions()) != 1 {
 		t.Fatalf("touching polygons must merge into 1 detour region, got %d", len(p.Regions()))
 	}
-	legacy := NewNetwork(m, snap.Disabled())
+	legacy := NewPlannerForBlocked(m, snap.Disabled())
 	if !p.Regions()[0].Equal(legacy.Regions()[0]) {
 		t.Fatal("merged region differs from the legacy re-flood")
 	}
@@ -140,7 +140,7 @@ func pinchedRegion(m grid.Mesh) *nodeset.Set {
 // into the dead-end slot at (6,5) and back out.
 func TestPinchedRingEntryTakesShortArc(t *testing.T) {
 	m := grid.New(16, 16)
-	n := NewNetwork(m, pinchedRegion(m))
+	n := NewPlannerForBlocked(m, pinchedRegion(m))
 	r, err := n.Route(grid.XY(7, 2), grid.XY(7, 8))
 	if err != nil {
 		t.Fatal(err)
@@ -170,7 +170,7 @@ func TestPinchedRingEntryTakesShortArc(t *testing.T) {
 // not lose them.
 func TestPinchedRingSlotDestination(t *testing.T) {
 	m := grid.New(16, 16)
-	n := NewNetwork(m, pinchedRegion(m))
+	n := NewPlannerForBlocked(m, pinchedRegion(m))
 	for _, dst := range []grid.Coord{grid.XY(5, 4), grid.XY(6, 5)} {
 		r, err := n.Route(grid.XY(0, 0), dst)
 		if err != nil {

@@ -105,23 +105,6 @@ func (r *Route) Path() []grid.Coord {
 	return out
 }
 
-// Network is a mesh with disabled regions (faulty polygons) prepared for
-// extended e-cube routing. It is a thin wrapper over a Planner built from
-// the blocked set; build a Planner directly (NewPlanner) to route over
-// live engine snapshots without re-flooding the disabled union.
-type Network struct {
-	p *Planner
-}
-
-// NewNetwork prepares a routing network. blocked holds every node excluded
-// from routing (faulty and disabled); 8-connected blocked regions form the
-// faulty polygons the router detours around. The caller is responsible for
-// blocked regions being orthogonal convex (use the mfp or dmfp packages);
-// convexity is what bounds detours and guarantees deadlock freedom.
-func NewNetwork(m grid.Mesh, blocked *nodeset.Set) *Network {
-	return &Network{p: NewPlannerForBlocked(m, blocked)}
-}
-
 // expandRing converts the 8-adjacent boundary walk into a 4-connected cycle
 // messages can follow on mesh links: each diagonal step is split through
 // the intermediate cell that lies outside the region. (Both intermediates
@@ -156,18 +139,6 @@ func expandRing(region *nodeset.Set, walk []grid.Coord) []grid.Coord {
 	}
 	return dedup
 }
-
-// Mesh returns the network's mesh.
-func (n *Network) Mesh() grid.Mesh { return n.p.Mesh() }
-
-// Blocked reports whether the node is excluded from routing.
-func (n *Network) Blocked(c grid.Coord) bool { return n.p.Blocked(c) }
-
-// Regions returns the faulty polygons the network detours around.
-func (n *Network) Regions() []*nodeset.Set { return n.p.Regions() }
-
-// Planner returns the prepared routing state behind the network.
-func (n *Network) Planner() *Planner { return n.p }
 
 // classify returns the message type for the current position.
 func classify(cur, dst grid.Coord) MessageType {
@@ -206,9 +177,4 @@ func orientation(t MessageType, cur, dst grid.Coord) int {
 	default:
 		return cw
 	}
-}
-
-// Route sends one message from src to dst and returns its trajectory.
-func (n *Network) Route(src, dst grid.Coord) (*Route, error) {
-	return n.p.Route(src, dst)
 }

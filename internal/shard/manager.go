@@ -8,12 +8,13 @@
 // publishes an immutable View through an atomic pointer, so snapshot reads
 // on a resident shard are wait-free even while batches land.
 //
-// Since the kernel refactor the namespace is dimension-mixed: Create
-// registers a 2-D mesh (a *Shard, with the routing plane), Create3 a 3-D
-// one (a *Shard3, serving polytopes), and both run the same generic shard
-// machinery. Lookup returns the dimension-erased Tenant for callers like
-// mfpd that dispatch per dimension; Get and Get3 resolve to the concrete
-// shard types.
+// The namespace is dimension-mixed. Shard[C, T] is one generic type over
+// the kernel's Topology: Create registers a 2-D mesh (a
+// *Shard[grid.Coord, grid.Mesh], with the routing plane) and Create3 a 3-D
+// one (a *Shard[grid3.Coord, grid3.Mesh], serving polytopes). Lookup
+// returns the dimension-erased Tenant; callers like mfpd type-switch it
+// onto the two instantiations and hand both to one generic code path. Get
+// and Get3 resolve a name to one instantiation directly.
 //
 // Memory is bounded by an LRU policy over resident engines
 // (Config.MaxResident): the manager marks the least-recently-used shards
@@ -126,8 +127,10 @@ const (
 
 // Tenant is the dimension-erased face of a shard: what the manager's
 // bookkeeping and dimension-agnostic callers (listing, deletion, stats)
-// need. The concrete types behind it are *Shard (2-D) and *Shard3 (3-D);
-// dispatch per dimension with a type switch, as mfpd does.
+// need. The concrete types behind it are the two instantiations of the
+// generic Shard, *Shard[grid.Coord, grid.Mesh] (2-D) and
+// *Shard[grid3.Coord, grid3.Mesh] (3-D); a type switch recovers the
+// instantiation, as mfpd does.
 type Tenant interface {
 	// Name returns the shard's mesh name.
 	Name() string
@@ -180,14 +183,14 @@ func NewManager(cfg Config) *Manager {
 // Create registers a new named 2-D mesh and starts its shard. The engine
 // is built eagerly so an unsupported mesh (torus, empty) fails here, not
 // on first use.
-func (m *Manager) Create(name string, mesh grid.Mesh) (*Shard, error) {
+func (m *Manager) Create(name string, mesh grid.Mesh) (*Shard[grid.Coord, grid.Mesh], error) {
 	return create(m, name, mesh, newEngine2, newPlanner2, false)
 }
 
 // Create3 registers a new named 3-D mesh and starts its shard; the mesh is
 // served by the 3-D engine (polytopes, cuboid unsafe set) and has no
 // routing plane.
-func (m *Manager) Create3(name string, mesh grid3.Mesh) (*Shard3, error) {
+func (m *Manager) Create3(name string, mesh grid3.Mesh) (*Shard[grid3.Coord, grid3.Mesh], error) {
 	return create[grid3.Coord](m, name, mesh, newEngine3, nil, false)
 }
 
@@ -241,7 +244,7 @@ func (m *Manager) walDir(name string) string { return filepath.Join(m.cfg.DataDi
 func create[C any, T kernel.Topology[C]](m *Manager, name string, mesh T,
 	newEngine func(T) (*kernel.Engine[C, T], error),
 	newPlanner func(*kernel.Snapshot[C, T]) *routing.Planner,
-	recovered bool) (*shardOf[C, T], error) {
+	recovered bool) (*Shard[C, T], error) {
 	if !ValidName(name) {
 		return nil, fmt.Errorf("shard: invalid mesh name %q (want 1-64 chars of [a-zA-Z0-9._-])", name)
 	}
@@ -291,13 +294,13 @@ func create[C any, T kernel.Topology[C]](m *Manager, name string, mesh T,
 	victims := m.admitLocked(s)
 	m.mu.Unlock()
 
-	go s.run() //mfplint:managed the mailbox goroutine is owned by its shard: Close/evict close s.stop and block on s.done until run returns
+	go s.run() //mfplint:managed the mailbox goroutine is owned by its shard: Delete/Close call s.close, which closes s.mailbox and blocks on s.done until run returns
 	nudge(victims)
 	return s, nil
 }
 
 // Lookup resolves a mesh name to its dimension-erased Tenant; type-switch
-// on *Shard / *Shard3 for dimension-specific access.
+// on the Shard instantiations for dimension-specific access.
 func (m *Manager) Lookup(name string) (Tenant, error) {
 	m.mu.Lock()
 	s, ok := m.shards[name]
@@ -314,12 +317,12 @@ func (m *Manager) Lookup(name string) (Tenant, error) {
 
 // Get resolves a mesh name to its 2-D shard; a name registered as 3-D
 // fails with ErrDimension.
-func (m *Manager) Get(name string) (*Shard, error) {
+func (m *Manager) Get(name string) (*Shard[grid.Coord, grid.Mesh], error) {
 	t, err := m.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	s, ok := t.(*Shard)
+	s, ok := t.(*Shard[grid.Coord, grid.Mesh])
 	if !ok {
 		return nil, fmt.Errorf("%w: %q is not 2-D", ErrDimension, name)
 	}
@@ -328,12 +331,12 @@ func (m *Manager) Get(name string) (*Shard, error) {
 
 // Get3 resolves a mesh name to its 3-D shard; a name registered as 2-D
 // fails with ErrDimension.
-func (m *Manager) Get3(name string) (*Shard3, error) {
+func (m *Manager) Get3(name string) (*Shard[grid3.Coord, grid3.Mesh], error) {
 	t, err := m.Lookup(name)
 	if err != nil {
 		return nil, err
 	}
-	s, ok := t.(*Shard3)
+	s, ok := t.(*Shard[grid3.Coord, grid3.Mesh])
 	if !ok {
 		return nil, fmt.Errorf("%w: %q is not 3-D", ErrDimension, name)
 	}

@@ -15,30 +15,6 @@ import (
 	"repro/internal/wal"
 )
 
-// Shard is one named 2-D mesh: a persisted fault set, an (evictable)
-// engine, and the mailbox goroutine that owns both. All methods are safe
-// for concurrent use. The machinery is the dimension-generic shardOf; this
-// alias pins it at the paper's 2-D mesh, the only instantiation with a
-// routing planner.
-type Shard = shardOf[grid.Coord, grid.Mesh]
-
-// Shard3 is one named 3-D mesh: the same shard machinery pinned at
-// grid3.Mesh, serving polytopes instead of polygons. Route planning is
-// 2-D-only; Planner on a 3-D shard fails with ErrNoPlanner.
-type Shard3 = shardOf[grid3.Coord, grid3.Mesh]
-
-// View pairs a 2-D engine snapshot with the shard version it reflects.
-type View = viewOf[grid.Coord, grid.Mesh]
-
-// View3 pairs a 3-D engine snapshot with the shard version it reflects.
-type View3 = viewOf[grid3.Coord, grid3.Mesh]
-
-// ApplyResult describes the outcome of one 2-D Apply call.
-type ApplyResult = applyResultOf[grid.Coord, grid.Mesh]
-
-// ApplyResult3 describes the outcome of one 3-D Apply call.
-type ApplyResult3 = applyResultOf[grid3.Coord, grid3.Mesh]
-
 // request is one mailbox message: an event submission (possibly empty — a
 // touch that only forces residency and returns the current view), or an
 // eviction nudge (evict true, no reply).
@@ -50,21 +26,21 @@ type request[C any, T kernel.Topology[C]] struct {
 
 type result[C any, T kernel.Topology[C]] struct {
 	applied int
-	view    viewOf[C, T]
+	view    View[C, T]
 	err     error
 }
 
-// viewOf pairs an engine snapshot with the shard version it reflects. The
+// View pairs an engine snapshot with the shard version it reflects. The
 // shard version counts state-changing events over the shard's whole
 // lifetime; unlike Snapshot.Version it survives eviction/rebuild cycles,
 // so it is the number clients should compare across reads.
-type viewOf[C any, T kernel.Topology[C]] struct {
+type View[C any, T kernel.Topology[C]] struct {
 	Snapshot *kernel.Snapshot[C, T]
 	Version  uint64
 }
 
-// applyResultOf describes the outcome of one Apply call.
-type applyResultOf[C any, T kernel.Topology[C]] struct {
+// ApplyResult describes the outcome of one Apply call.
+type ApplyResult[C any, T kernel.Topology[C]] struct {
 	// Applied counts this submission's events that changed state; Ignored
 	// the duplicate adds and clears of healthy nodes.
 	Applied int
@@ -73,7 +49,7 @@ type applyResultOf[C any, T kernel.Topology[C]] struct {
 	// View.Version is the shard version right after this submission's
 	// events, and View.Snapshot reflects at least them (possibly also
 	// later submissions coalesced into the same engine batch).
-	View viewOf[C, T]
+	View View[C, T]
 }
 
 // Stats is a point-in-time description of one shard. Counter fields are
@@ -118,10 +94,13 @@ type Stats struct {
 	Failed string `json:"failed,omitempty"`
 }
 
-// shardOf is one named mesh of any dimensionality: a persisted fault set,
-// an (evictable) kernel engine, and the mailbox goroutine that owns both.
-// All methods are safe for concurrent use.
-type shardOf[C any, T kernel.Topology[C]] struct {
+// Shard is one named mesh of any dimensionality: a persisted fault set, an
+// (evictable) kernel engine, and the mailbox goroutine that owns both. The
+// manager instantiates it at the paper's 2-D mesh (Shard[grid.Coord,
+// grid.Mesh], the only instantiation with a routing planner) and at the
+// 3-D mesh (Shard[grid3.Coord, grid3.Mesh], serving polytopes). All
+// methods are safe for concurrent use.
+type Shard[C any, T kernel.Topology[C]] struct {
 	name string
 	mesh T
 	mgr  *Manager
@@ -143,7 +122,7 @@ type shardOf[C any, T kernel.Topology[C]] struct {
 	closing  bool
 	closedFl atomic.Bool
 
-	view         atomic.Pointer[viewOf[C, T]] // nil while evicted
+	view         atomic.Pointer[View[C, T]] // nil while evicted
 	lastUsed     atomic.Uint64
 	evictPending atomic.Bool
 
@@ -195,12 +174,12 @@ type counters struct {
 
 func newShard[C any, T kernel.Topology[C]](m *Manager, name string, mesh T,
 	newEngine func(T) (*kernel.Engine[C, T], error),
-	newPlanner func(*kernel.Snapshot[C, T]) *routing.Planner) (*shardOf[C, T], error) {
+	newPlanner func(*kernel.Snapshot[C, T]) *routing.Planner) (*Shard[C, T], error) {
 	eng, err := newEngine(mesh)
 	if err != nil {
 		return nil, err
 	}
-	s := &shardOf[C, T]{
+	s := &Shard[C, T]{
 		name:       name,
 		mesh:       mesh,
 		mgr:        m,
@@ -211,7 +190,7 @@ func newShard[C any, T kernel.Topology[C]](m *Manager, name string, mesh T,
 		eng:        eng,
 		faults:     kernel.NewSet[C](mesh),
 	}
-	s.view.Store(&viewOf[C, T]{Snapshot: eng.Snapshot()})
+	s.view.Store(&View[C, T]{Snapshot: eng.Snapshot()})
 	m.touch(s)
 	return s, nil
 }
@@ -220,7 +199,7 @@ func newShard[C any, T kernel.Topology[C]](m *Manager, name string, mesh T,
 // starts: a fresh directory on create, or an existing one recovered and
 // replayed into the fault set and engine. Called only from create, with
 // no concurrency yet.
-func (s *shardOf[C, T]) attachWAL(recovered bool) error {
+func (s *Shard[C, T]) attachWAL(recovered bool) error {
 	dir := s.mgr.walDir(s.name)
 	if !recovered {
 		meta := wal.Meta{Width: s.mesh.AxisLen(0), Height: s.mesh.AxisLen(1)}
@@ -251,9 +230,9 @@ func (s *shardOf[C, T]) attachWAL(recovered bool) error {
 // kernel.Replay — the same differentially-tested path eviction-rebuild
 // uses — with the replayed version checked against each record's recorded
 // one, so a divergence fails recovery instead of silently serving wrong
-// state. The engine then applies the final fault set exactly like rebuild
-// does after an eviction.
-func (s *shardOf[C, T]) restore(rec *wal.Recovery[C]) error {
+// state. The engine is then seeded with the final fault set exactly like
+// rebuild does after an eviction.
+func (s *Shard[C, T]) restore(rec *wal.Recovery[C]) error {
 	version := rec.Version
 	base := make([]kernel.Event[C], 0, len(rec.Faults))
 	for _, c := range rec.Faults {
@@ -274,26 +253,20 @@ func (s *shardOf[C, T]) restore(rec *wal.Recovery[C]) error {
 			return fmt.Errorf("wal replay diverged: version %d at record %d", version, b.Version)
 		}
 	}
-	if !s.faults.Empty() {
-		events := make([]kernel.Event[C], 0, s.faults.Len())
-		s.faults.Each(func(c C) {
-			events = append(events, kernel.Event[C]{Op: kernel.Add, Node: c})
-		})
-		if _, _, err := s.eng.Apply(events); err != nil {
-			return fmt.Errorf("recovery replay: %v", err)
-		}
+	snap, err := kernel.Seed(s.eng, s.faults)
+	if err != nil {
+		return fmt.Errorf("recovery replay: %v", err)
 	}
-	snap := s.eng.Snapshot()
 	s.stats.version = version
 	s.stats.faults = s.faults.Len()
 	s.stats.components = len(snap.Polygons())
-	s.view.Store(&viewOf[C, T]{Snapshot: snap, Version: version})
+	s.view.Store(&View[C, T]{Snapshot: snap, Version: version})
 	return nil
 }
 
 // closeWAL fsyncs and releases the shard's log handle; safe to call with
 // no log attached.
-func (s *shardOf[C, T]) closeWAL() {
+func (s *Shard[C, T]) closeWAL() {
 	if s.log != nil {
 		s.log.Close()
 		s.log = nil
@@ -301,25 +274,25 @@ func (s *shardOf[C, T]) closeWAL() {
 }
 
 // Name returns the shard's mesh name.
-func (s *shardOf[C, T]) Name() string { return s.name }
+func (s *Shard[C, T]) Name() string { return s.name }
 
 // Mesh returns the shard's mesh.
-func (s *shardOf[C, T]) Mesh() T { return s.mesh }
+func (s *Shard[C, T]) Mesh() T { return s.mesh }
 
 // Apply submits a batch of events and blocks until the shard's goroutine
 // has applied it (coalesced with whatever else was queued). Events are
 // validated as one submission: any out-of-mesh event fails this submission
 // alone, without failing others coalesced into the same engine batch.
-func (s *shardOf[C, T]) Apply(events []kernel.Event[C]) (applyResultOf[C, T], error) {
+func (s *Shard[C, T]) Apply(events []kernel.Event[C]) (ApplyResult[C, T], error) {
 	req := &request[C, T]{events: events, reply: make(chan result[C, T], 1)}
 	if err := s.enqueue(req); err != nil {
-		return applyResultOf[C, T]{}, err
+		return ApplyResult[C, T]{}, err
 	}
 	res := <-req.reply
 	if res.err != nil {
-		return applyResultOf[C, T]{}, res.err
+		return ApplyResult[C, T]{}, res.err
 	}
-	return applyResultOf[C, T]{
+	return ApplyResult[C, T]{
 		Applied: res.applied,
 		Ignored: len(events) - res.applied,
 		View:    res.view,
@@ -330,12 +303,12 @@ func (s *shardOf[C, T]) Apply(events []kernel.Event[C]) (applyResultOf[C, T], er
 // wait-free — two atomic loads, never blocked by event batches. On an
 // evicted shard it queues a touch through the mailbox, which rebuilds the
 // engine from the persisted fault set and republishes the view.
-func (s *shardOf[C, T]) Read() (viewOf[C, T], error) {
+func (s *Shard[C, T]) Read() (View[C, T], error) {
 	if s.closedFl.Load() {
-		return viewOf[C, T]{}, ErrClosed
+		return View[C, T]{}, ErrClosed
 	}
 	if err := s.failedErr(); err != nil {
-		return viewOf[C, T]{}, err
+		return View[C, T]{}, err
 	}
 	s.mgr.touch(s)
 	if v := s.view.Load(); v != nil {
@@ -343,7 +316,7 @@ func (s *shardOf[C, T]) Read() (viewOf[C, T], error) {
 	}
 	req := &request[C, T]{reply: make(chan result[C, T], 1)}
 	if err := s.enqueue(req); err != nil {
-		return viewOf[C, T]{}, err
+		return View[C, T]{}, err
 	}
 	res := <-req.reply
 	return res.view, res.err
@@ -354,14 +327,14 @@ func (s *shardOf[C, T]) Read() (viewOf[C, T], error) {
 // blocks, which makes it the right read for monitoring paths that must not
 // defeat the MaxResident bound (Read would rebuild and mark the shard
 // most-recently-used).
-func (s *shardOf[C, T]) Peek() (viewOf[C, T], bool) {
+func (s *Shard[C, T]) Peek() (View[C, T], bool) {
 	if s.closedFl.Load() || s.failed.Load() != nil {
-		return viewOf[C, T]{}, false
+		return View[C, T]{}, false
 	}
 	if v := s.view.Load(); v != nil {
 		return *v, true
 	}
-	return viewOf[C, T]{}, false
+	return View[C, T]{}, false
 }
 
 // Planner returns a routing planner prepared from the shard's current
@@ -372,14 +345,14 @@ func (s *shardOf[C, T]) Peek() (viewOf[C, T], bool) {
 // free, and eviction drops it with the engine. Like Read, calling Planner
 // on an evicted shard forces a rebuild. On a topology without a routing
 // plane (3-D meshes) it fails with ErrNoPlanner.
-func (s *shardOf[C, T]) Planner() (*routing.Planner, viewOf[C, T], bool, error) {
+func (s *Shard[C, T]) Planner() (*routing.Planner, View[C, T], bool, error) {
 	if s.newPlanner == nil {
-		return nil, viewOf[C, T]{}, false, fmt.Errorf("%w: %v", ErrNoPlanner, s.mesh)
+		return nil, View[C, T]{}, false, fmt.Errorf("%w: %v", ErrNoPlanner, s.mesh)
 	}
 	epoch := s.plannerEpoch.Load()
 	v, err := s.Read()
 	if err != nil {
-		return nil, viewOf[C, T]{}, false, err
+		return nil, View[C, T]{}, false, err
 	}
 	if e := s.planner.Load(); e != nil && e.version == v.Version {
 		s.noteRoute(true, false)
@@ -408,7 +381,7 @@ func (s *shardOf[C, T]) Planner() (*routing.Planner, viewOf[C, T], bool, error) 
 	return p, v, false, nil
 }
 
-func (s *shardOf[C, T]) noteRoute(hit, built bool) {
+func (s *Shard[C, T]) noteRoute(hit, built bool) {
 	s.routeQueries.Add(1)
 	shardMetrics.routeQueries.Inc()
 	if hit {
@@ -423,7 +396,7 @@ func (s *shardOf[C, T]) noteRoute(hit, built bool) {
 
 // failedErr returns the latched failure wrapped in ErrShardFailed, or nil
 // while the shard is healthy.
-func (s *shardOf[C, T]) failedErr() error {
+func (s *Shard[C, T]) failedErr() error {
 	if msg := s.failed.Load(); msg != nil {
 		return fmt.Errorf("%w: %s", ErrShardFailed, *msg)
 	}
@@ -433,7 +406,7 @@ func (s *shardOf[C, T]) failedErr() error {
 // latchFail records the shard's first internal failure and drops the
 // engine and published view: the state can no longer be trusted, so reads
 // must fail rather than serve it. Called only from the run goroutine.
-func (s *shardOf[C, T]) latchFail(msg string) {
+func (s *Shard[C, T]) latchFail(msg string) {
 	if s.failed.CompareAndSwap(nil, &msg) {
 		shardMetrics.failures.Inc()
 	}
@@ -444,7 +417,7 @@ func (s *shardOf[C, T]) latchFail(msg string) {
 }
 
 // Stats returns the shard's current stats.
-func (s *shardOf[C, T]) Stats() Stats {
+func (s *Shard[C, T]) Stats() Stats {
 	s.statsMu.Lock()
 	c := s.stats
 	s.statsMu.Unlock()
@@ -481,7 +454,7 @@ func (s *shardOf[C, T]) Stats() Stats {
 // enqueue hands a request to the run goroutine, blocking when the mailbox
 // is full (backpressure). The read lock spans the channel send so close()
 // cannot close the mailbox midway through it.
-func (s *shardOf[C, T]) enqueue(req *request[C, T]) error {
+func (s *Shard[C, T]) enqueue(req *request[C, T]) error {
 	s.sendMu.RLock()
 	defer s.sendMu.RUnlock()
 	if s.closing {
@@ -498,7 +471,7 @@ func (s *shardOf[C, T]) enqueue(req *request[C, T]) error {
 // nudgeEvict wakes the run goroutine without queueing work, best-effort:
 // if the mailbox is full the shard is busy and will observe evictPending
 // after its current batch.
-func (s *shardOf[C, T]) nudgeEvict() {
+func (s *Shard[C, T]) nudgeEvict() {
 	s.sendMu.RLock()
 	defer s.sendMu.RUnlock()
 	if s.closing {
@@ -512,7 +485,7 @@ func (s *shardOf[C, T]) nudgeEvict() {
 
 // close stops the shard: new requests are refused, accepted ones drain,
 // and close returns once the run goroutine has exited. Idempotent.
-func (s *shardOf[C, T]) close() {
+func (s *Shard[C, T]) close() {
 	s.sendMu.Lock()
 	if s.closing {
 		s.sendMu.Unlock()
@@ -531,7 +504,7 @@ func (s *shardOf[C, T]) close() {
 // the compaction policy. It exits when the mailbox is closed and fully
 // drained; the WAL handle closes (with a final fsync) before done is
 // signalled, so a drain observed by close() is durable on disk.
-func (s *shardOf[C, T]) run() {
+func (s *Shard[C, T]) run() {
 	defer close(s.done)
 	defer s.closeWAL()
 	for first := range s.mailbox {
@@ -544,7 +517,7 @@ func (s *shardOf[C, T]) run() {
 
 // drainInto collects whatever else is already queued behind first, up to
 // the configured event cap, without blocking.
-func (s *shardOf[C, T]) drainInto(first *request[C, T]) []*request[C, T] {
+func (s *Shard[C, T]) drainInto(first *request[C, T]) []*request[C, T] {
 	batch := []*request[C, T]{first}
 	size := len(first.events)
 	for size < s.mgr.cfg.MaxBatch {
@@ -567,7 +540,7 @@ func (s *shardOf[C, T]) drainInto(first *request[C, T]) []*request[C, T] {
 // engine in one batch, publishes the new view, and replies to every
 // waiter. Eviction nudges in the batch carry no work; they only woke the
 // goroutine so maybeEvict runs.
-func (s *shardOf[C, T]) process(batch []*request[C, T]) {
+func (s *Shard[C, T]) process(batch []*request[C, T]) {
 	reqs := batch[:0:0]
 	for _, r := range batch {
 		if !r.evict {
@@ -683,7 +656,7 @@ func (s *shardOf[C, T]) process(batch []*request[C, T]) {
 	shardMetrics.batchEvents.Observe(float64(len(all)))
 	shardMetrics.batchRequests.Observe(float64(len(reqs)))
 
-	s.view.Store(&viewOf[C, T]{Snapshot: snap, Version: version})
+	s.view.Store(&View[C, T]{Snapshot: snap, Version: version})
 
 	// Reply with per-submission versions: the shard version right after
 	// each submission's events, in coalescing order.
@@ -694,7 +667,7 @@ func (s *shardOf[C, T]) process(batch []*request[C, T]) {
 			continue
 		}
 		running += uint64(counts[i])
-		r.reply <- result[C, T]{applied: counts[i], view: viewOf[C, T]{Snapshot: snap, Version: running}}
+		r.reply <- result[C, T]{applied: counts[i], view: View[C, T]{Snapshot: snap, Version: running}}
 	}
 }
 
@@ -703,7 +676,7 @@ func (s *shardOf[C, T]) process(batch []*request[C, T]) {
 // rebuilt constructions are identical to the evicted ones. A replay error
 // is returned, not panicked: the caller latches it as a shard failure so
 // one broken mesh cannot take down the whole process.
-func (s *shardOf[C, T]) rebuild() error {
+func (s *Shard[C, T]) rebuild() error {
 	if s.rebuildFail != nil {
 		return s.rebuildFail
 	}
@@ -712,14 +685,9 @@ func (s *shardOf[C, T]) rebuild() error {
 	if err != nil {
 		return fmt.Errorf("rebuild on mesh validated at create: %v", err)
 	}
-	if !s.faults.Empty() {
-		events := make([]kernel.Event[C], 0, s.faults.Len())
-		s.faults.Each(func(c C) {
-			events = append(events, kernel.Event[C]{Op: kernel.Add, Node: c})
-		})
-		if _, _, err := eng.Apply(events); err != nil {
-			return fmt.Errorf("rebuild replay: %v", err)
-		}
+	snap, err := kernel.Seed(eng, s.faults)
+	if err != nil {
+		return fmt.Errorf("rebuild replay: %v", err)
 	}
 	s.eng = eng
 	shardMetrics.rebuilds.Inc()
@@ -728,7 +696,7 @@ func (s *shardOf[C, T]) rebuild() error {
 	s.stats.rebuilds++
 	version := s.stats.version
 	s.statsMu.Unlock()
-	s.view.Store(&viewOf[C, T]{Snapshot: eng.Snapshot(), Version: version})
+	s.view.Store(&View[C, T]{Snapshot: snap, Version: version})
 	nudge(s.mgr.noteResident(s))
 	return nil
 }
@@ -740,7 +708,7 @@ func (s *shardOf[C, T]) rebuild() error {
 // thereby bounded by churn since the last compaction, not by the mesh's
 // lifetime. Compaction does not touch the engine, so it works the same on
 // an evicted shard.
-func (s *shardOf[C, T]) maybeCompact() {
+func (s *Shard[C, T]) maybeCompact() {
 	if s.log == nil || s.failed.Load() != nil {
 		return
 	}
@@ -758,7 +726,7 @@ func (s *shardOf[C, T]) maybeCompact() {
 // maybeEvict performs a manager-requested eviction: the engine and the
 // published view are dropped, the persisted fault set stays. The next
 // access rebuilds.
-func (s *shardOf[C, T]) maybeEvict() {
+func (s *Shard[C, T]) maybeEvict() {
 	if !s.evictPending.Swap(false) || s.eng == nil {
 		return
 	}
@@ -775,10 +743,10 @@ func (s *shardOf[C, T]) maybeEvict() {
 
 // lastUsedStore / lastUsedLoad / evict flags expose the LRU bookkeeping to
 // the manager through the dimension-erased Tenant interface.
-func (s *shardOf[C, T]) lastUsedStore(v uint64) { s.lastUsed.Store(v) }
-func (s *shardOf[C, T]) lastUsedLoad() uint64   { return s.lastUsed.Load() }
-func (s *shardOf[C, T]) evictPendingLoad() bool { return s.evictPending.Load() }
-func (s *shardOf[C, T]) evictPendingMark()      { s.evictPending.Store(true) }
+func (s *Shard[C, T]) lastUsedStore(v uint64) { s.lastUsed.Store(v) }
+func (s *Shard[C, T]) lastUsedLoad() uint64   { return s.lastUsed.Load() }
+func (s *Shard[C, T]) evictPendingLoad() bool { return s.evictPending.Load() }
+func (s *Shard[C, T]) evictPendingMark()      { s.evictPending.Store(true) }
 
 // newEngine2 and newPlanner2 are the 2-D shard's per-dimension hooks.
 func newEngine2(m grid.Mesh) (*kernel.Engine[grid.Coord, grid.Mesh], error) { return engine.New(m) }

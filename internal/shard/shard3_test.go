@@ -35,7 +35,7 @@ func TestShard3ApplyReadAndRebuild(t *testing.T) {
 	}
 
 	faults := nodeset3.FromCoords(cube.Mesh(), grid3.XYZ(1, 1, 1), grid3.XYZ(2, 2, 2), grid3.XYZ(5, 1, 6))
-	verify := func(v View3) {
+	verify := func(v View[grid3.Coord, grid3.Mesh]) {
 		t.Helper()
 		ref := mfp3d.Build(cube.Mesh(), faults)
 		if !v.Snapshot.Faults().Equal(ref.Faults) {

@@ -18,7 +18,7 @@ func clear(x, y int) engine.Event { return engine.Event{Op: engine.Clear, Node: 
 
 // checkAgainstCore differentially verifies a view against a from-scratch
 // core.Construct over the expected fault set.
-func checkAgainstCore(t *testing.T, v View, mesh grid.Mesh, faults *nodeset.Set) {
+func checkAgainstCore(t *testing.T, v View[grid.Coord, grid.Mesh], mesh grid.Mesh, faults *nodeset.Set) {
 	t.Helper()
 	snap := v.Snapshot
 	if !snap.Faults().Equal(faults) {

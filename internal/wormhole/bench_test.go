@@ -16,7 +16,7 @@ func BenchmarkRun200Messages(b *testing.B) {
 	inner := fault.NewInjector(grid.New(18, 18), fault.Clustered, 5).Inject(20)
 	faults := nodeset.New(m)
 	inner.Each(func(c grid.Coord) { faults.Add(grid.XY(c.X+3, c.Y+3)) })
-	net := routing.NewNetwork(m, block.Build(m, faults).Unsafe)
+	net := routing.NewPlannerForBlocked(m, block.Build(m, faults).Unsafe)
 
 	rng := rand.New(rand.NewSource(1))
 	var routes []*routing.Route

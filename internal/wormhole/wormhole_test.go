@@ -141,7 +141,7 @@ func TestNoDeadlockAroundFaultyBlocks(t *testing.T) {
 		inner := fault.NewInjector(grid.New(meshSize-6, meshSize-6), fault.Clustered, seed).Inject(18)
 		faults := nodeset.New(m)
 		inner.Each(func(c grid.Coord) { faults.Add(grid.XY(c.X+3, c.Y+3)) })
-		net := routing.NewNetwork(m, block.Build(m, faults).Unsafe)
+		net := routing.NewPlannerForBlocked(m, block.Build(m, faults).Unsafe)
 
 		s := New(Config{FlitLen: 4})
 		rng := rand.New(rand.NewSource(seed))
